@@ -112,11 +112,11 @@ void pin_self(bool dispatcher) {
 // Fixed workload parameters (perfbench/README.md lists them per workload).
 // ---------------------------------------------------------------------------
 
-constexpr std::size_t kSetupRepeats = 5;     // setup_s is their median
+constexpr std::size_t kSetupRepeats = 9;     // setup_s is their median
 constexpr std::size_t kWorkers = 3;          // + 1 dispatcher = 4 threads
-constexpr double kZipf = 1.05;               // query popularity skew
 constexpr double kLateLimitUs = 200.0;       // median generator lateness bound
 constexpr std::size_t kTopK = 100;          // K of the top-K layer replay
+constexpr double kTopKPrecisionFloor = 0.9;  // top_k vs exact full-model top-K
 constexpr std::size_t kWindows = 5;  // latency/throughput reported as the
                                      // median over this many windows
 constexpr double kLimitUs = 5000.0;  // p99 latency limit of the rate ladder
@@ -171,8 +171,9 @@ struct Failures {
   std::size_t expired = 0;       // typed kExpired
   std::size_t exception = 0;     // any other error delivered
   std::size_t missing = 0;       // never completed
+  std::size_t topk = 0;          // top-K precision below the floor
   std::size_t total() const {
-    return mismatch + rejected + expired + exception + missing;
+    return mismatch + rejected + expired + exception + missing + topk;
   }
   void add(const Failures& o) {
     mismatch += o.mismatch;
@@ -180,6 +181,7 @@ struct Failures {
     expired += o.expired;
     exception += o.exception;
     missing += o.missing;
+    topk += o.topk;
   }
 };
 
@@ -287,7 +289,8 @@ int finish(Run& run) {
       << ",\"rejected\":" << run.failures.rejected
       << ",\"expired\":" << run.failures.expired
       << ",\"exception\":" << run.failures.exception
-      << ",\"missing\":" << run.failures.missing << "},\"invalid\":[";
+      << ",\"missing\":" << run.failures.missing
+      << ",\"topk\":" << run.failures.topk << "},\"invalid\":[";
   for (std::size_t i = 0; i < run.invalid.size(); ++i) {
     rec << (i ? "," : "") << "\"" << json_escape(run.invalid[i]) << "\"";
   }
@@ -328,46 +331,57 @@ int finish(Run& run) {
 }
 
 // ---------------------------------------------------------------------------
-// Inputs: Zipf row popularity and Poisson arrivals, all from the seed.
+// Inputs: Poisson arrivals and fresh Zipf-popular queries, all from the seed.
 // ---------------------------------------------------------------------------
 
-/// Which rows are popular is a fixed property of the workload; the seed
-/// only draws the stream from that popularity.
-constexpr std::uint64_t kPopularitySeed = 0x5EED;
-
-/// Zipf-popular rows of a pool, with popularity decorrelated from index.
-class RowSampler {
- public:
-  RowSampler(std::size_t n, double s, std::uint64_t seed)
-      : rng_(kPopularitySeed), zipf_(n, s), rank_to_row_(rng_.permutation(n)) {
-    rng_.reseed(seed);
-  }
-  std::size_t next() { return rank_to_row_[zipf_.sample(rng_)]; }
-
- private:
-  common::Rng rng_;
-  common::ZipfSampler zipf_;
-  std::vector<std::size_t> rank_to_row_;
-};
-
 struct Stream {
-  std::vector<std::size_t> rows;       // pool row of each request
-  std::vector<std::int64_t> offset_ns; // due time relative to the start
+  data::Batch batch;                    // one row per request
+  std::vector<std::int64_t> offset_ns;  // due time relative to the start
+  std::vector<double> labels;           // per request; empty when unlabeled
 };
 
-Stream make_stream(std::size_t pool_rows, double qps, double seconds,
+/// Poisson arrivals at `qps` for `seconds`, each a fresh query drawn by the
+/// workload's own `query_sampler` (its Zipf entity popularity), so caches
+/// see genuine repetition rather than test-set reuse.
+Stream make_stream(const workloads::Workload& wl, double qps, double seconds,
                    std::uint64_t seed) {
   Stream s;
-  RowSampler rows(pool_rows, kZipf, seed);
   common::Rng gaps(seed ^ 0x9E3779B97F4A7C15ULL);
   double t = 0.0;
   for (;;) {
     t += -std::log(1.0 - gaps.next_double()) / qps;
     if (t >= seconds) break;
     s.offset_ns.push_back(static_cast<std::int64_t>(t * 1e9));
-    s.rows.push_back(rows.next());
   }
+  common::Rng queries(seed);
+  s.batch = wl.query_sampler(s.offset_ns.size(), queries);
   return s;
+}
+
+/// Every labeled test row once, in order (served closed loop): the served
+/// predictions' accuracy against the test labels.
+Stream labeled_stream(const workloads::Workload& wl) {
+  Stream s;
+  s.batch = wl.test.inputs;
+  s.labels = wl.test.targets;
+  s.offset_ns.assign(s.batch.num_rows(), 0);
+  return s;
+}
+
+/// The reference predictions: OptimizedPipeline::predict over `rows`, with
+/// the feature cache off (an uncached copy of the same fitted parts) when
+/// the served pipeline has one.
+std::vector<double> reference_of(const core::OptimizedPipeline& p,
+                                 const data::Batch& rows) {
+  if (p.cache() == nullptr) return p.predict(rows);
+  core::OptimizedPipeline::Parts parts;
+  parts.executor = p.executor_ptr();
+  parts.cascade = p.cascade();
+  parts.use_cascades = p.use_cascades();
+  parts.topk = p.topk_config();
+  parts.parallel_threads = p.parallel_threads();
+  parts.autotune = p.autotune_report();
+  return core::OptimizedPipeline(parts).predict(rows);
 }
 
 std::uint64_t stream_seed(std::uint64_t seed, std::uint64_t phase) {
@@ -409,16 +423,15 @@ struct PhaseOut {
 /// Open loop (window 0): submit each request at its due time. Closed loop
 /// (window > 0): keep `window` requests in flight, each due the moment a
 /// slot frees, which measures the engine's saturation throughput.
-PhaseOut run_phase(serving::Server& srv, const data::Batch& pool,
-                   const std::vector<double>& labels,
-                   const std::vector<double>& ref, const Stream& st,
-                   std::size_t window = 0) {
-  const std::size_t n = st.rows.size();
+/// `ref` holds the reference prediction of every stream row.
+PhaseOut run_phase(serving::Server& srv, const Stream& st,
+                   const std::vector<double>& ref, std::size_t window = 0) {
+  const std::size_t n = st.offset_ns.size();
   PhaseOut out;
   out.n = n;
   std::vector<data::Batch> reqs;
   reqs.reserve(n);
-  for (std::size_t r : st.rows) reqs.push_back(pool.row(r));
+  for (std::size_t i = 0; i < n; ++i) reqs.push_back(st.batch.row(i));
   Completions c;
   c.done_ns.assign(n, 0);
   c.pred.assign(n, 0.0);
@@ -491,14 +504,16 @@ PhaseOut run_phase(serving::Server& srv, const data::Batch& pool,
       case kExpired: ++out.failures.expired; break;
       case kError: ++out.failures.exception; break;
       default: {
-        const std::size_t row = st.rows[i];
-        if (!same_bits(c.pred[i], ref[row])) {
+        if (!same_bits(c.pred[i], ref[i])) {
           ++out.failures.mismatch;
           break;
         }
         out.lat_us[i] = static_cast<double>(c.done_ns[i] - out.due_ns[i]) * 1e-3;
         last_done = std::max(last_done, c.done_ns[i]);
-        if (models::predicted_label(c.pred[i]) == labels[row]) ++out.label_hits;
+        if (!st.labels.empty() &&
+            models::predicted_label(c.pred[i]) == st.labels[i]) {
+          ++out.label_hits;
+        }
       }
     }
   }
@@ -527,16 +542,15 @@ std::vector<double> sorted(std::vector<double> v) {
 // ---------------------------------------------------------------------------
 
 /// Every distinct table client behind the pipeline's lookup ops.
-std::vector<store::TableClient*> table_clients(const core::OptimizedPipeline& p) {
-  std::vector<store::TableClient*> out;
+std::vector<const store::TableClient*> table_clients(
+    const core::OptimizedPipeline& p) {
+  std::vector<const store::TableClient*> out;
   const core::Graph& g = p.executor().graph();
   for (std::size_t i = 0; i < g.size(); ++i) {
     const auto* op = dynamic_cast<const ops::TableLookupOp*>(
         g.node(static_cast<int>(i)).op.get());
     if (op == nullptr) continue;
-    // The pipeline was optimized and saved over local tables; the benchmark
-    // applies the simulated network to the loaded (non-const) clients.
-    auto* c = const_cast<store::TableClient*>(&op->client());
+    const store::TableClient* c = &op->client();
     if (std::find(out.begin(), out.end(), c) == out.end()) out.push_back(c);
   }
   return out;
@@ -546,7 +560,7 @@ struct StoreCount {
   std::uint64_t round_trips = 0, keys = 0;
 };
 
-StoreCount store_count(const std::vector<store::TableClient*>& clients) {
+StoreCount store_count(const std::vector<const store::TableClient*>& clients) {
   StoreCount s;
   for (auto* c : clients) {
     s.round_trips += c->stats().round_trips.load();
@@ -563,8 +577,9 @@ std::size_t file_bytes(const std::string& path) {
 struct ServedSetup {
   std::unique_ptr<serving::Server> server;
   std::shared_ptr<const core::OptimizedPipeline> pipe;
-  std::vector<store::TableClient*> clients;
-  double setup_s = 0.0, optimize_s = 0.0;
+  std::vector<const store::TableClient*> clients;
+  double setup_s = 0.0, optimize_s = 0.0, save_s = 0.0, load_s = 0.0,
+         first_s = 0.0;
 };
 
 ServedSetup setup_served(const workloads::Workload& wl, const ServedSpec& spec,
@@ -580,24 +595,28 @@ ServedSetup setup_served(const workloads::Workload& wl, const ServedSpec& spec,
       core::WillumpOptimizer::optimize(wl.pipeline, wl.train, wl.valid, opts);
   const std::int64_t t1 = now_ns();
   serialize::save_pipeline(optimized, path);
+  const std::int64_t t2 = now_ns();
 
   serving::ServerConfig scfg;
   scfg.num_workers = kWorkers;
   serving::ModelConfig mcfg;
   mcfg.replicas = spec.replicas;
   s.server = std::make_unique<serving::Server>(scfg);
+  // The artifact carries the tables' network model (the workload's tables
+  // are remote before optimize on the remote workload), so the loaded
+  // clients are remote too.
   s.server->load_model("m", path, mcfg);
+  const std::int64_t t3 = now_ns();
+  (void)s.server->submit("m", wl.test.inputs.row(0)).get();
+  const std::int64_t t4 = now_ns();
   s.pipe = s.server->pipeline_snapshot("m");
   s.clients = table_clients(*s.pipe);
-  if (spec.remote) {
-    // Spin-wait remote model (blocking = false); see README.md for why.
-    for (auto* c : s.clients) c->set_network(workloads::default_remote_network());
-  }
-  (void)s.server->submit("m", wl.test.inputs.row(0)).get();
-  const std::int64_t t2 = now_ns();
 
-  s.setup_s = static_cast<double>(t2 - t0) * 1e-9;
+  s.setup_s = static_cast<double>(t4 - t0) * 1e-9;
   s.optimize_s = static_cast<double>(t1 - t0) * 1e-9;
+  s.save_s = static_cast<double>(t2 - t1) * 1e-9;
+  s.load_s = static_cast<double>(t3 - t2) * 1e-9;
+  s.first_s = static_cast<double>(t4 - t3) * 1e-9;
   return s;
 }
 
@@ -781,24 +800,64 @@ double throughput_of(const PhaseOut& ph) {
   return pb::median_of(rates);
 }
 
+/// Every stream a run serves, pre-generated from the seed before any clock
+/// starts. The traced-run streams stay empty on an untraced run.
+struct Streams {
+  Stream labeled;                        // accuracy: every test row once
+  std::vector<Stream> warmup, measured;  // one each per set-up
+  Stream plain, traced, saturation;      // traced run: serving layer
+  std::vector<Stream> ladder;            // traced run: one per rung
+};
+
+Streams make_streams(const workloads::Workload& wl, const ServedSpec& spec,
+                     const Run& run) {
+  Streams s;
+  s.labeled = labeled_stream(wl);
+  for (std::size_t i = 0; i < kSetupRepeats; ++i) {
+    const std::uint64_t phase = 10 * (i + 1);
+    s.warmup.push_back(make_stream(wl, spec.fixed_qps, 0.2,
+                                   stream_seed(run.seed, phase)));
+    if (!run.trace) {
+      s.measured.push_back(make_stream(wl, spec.fixed_qps,
+                                       run.seconds / kSetupRepeats,
+                                       stream_seed(run.seed, phase + 1)));
+    }
+  }
+  if (run.trace) {
+    const double phase_s = run.seconds * 0.2;
+    s.plain = make_stream(wl, spec.fixed_qps, phase_s, stream_seed(run.seed, 1));
+    s.traced = make_stream(wl, spec.fixed_qps, phase_s, stream_seed(run.seed, 2));
+    s.saturation = make_stream(wl, static_cast<double>(spec.sat_requests), 1.0,
+                               stream_seed(run.seed, 3));
+    for (std::size_t k = 0; k < kLadderRungs; ++k) {
+      s.ladder.push_back(make_stream(wl, spec.rung_qps(k), kLadderStepS,
+                                     stream_seed(run.seed, 100 + k)));
+    }
+  }
+  return s;
+}
+
+/// A phase checked against the reference predictions of `p` over the
+/// stream's rows (computed before the phase starts).
+PhaseOut serve(serving::Server& srv, const core::OptimizedPipeline& p,
+               const Stream& st, std::size_t window = 0) {
+  return run_phase(srv, st, reference_of(p, st.batch), window);
+}
+
 /// The offered-rate ladder: ascending rungs until the first one that
 /// misses the latency limit, grows a backlog, or outruns the generator.
 /// Returns the achieved rate of the highest passing rung (0 if none).
-double run_ladder(serving::Server& srv, const data::Batch& pool,
-                  const std::vector<double>& labels,
-                  const std::vector<double>& ref, const ServedSpec& spec,
+double run_ladder(serving::Server& srv, const core::OptimizedPipeline& p,
+                  const std::vector<Stream>& rungs, const ServedSpec& spec,
                   double budget_s, Run& run) {
   std::vector<pb::LadderStep> steps;
   const std::int64_t end = now_ns() + static_cast<std::int64_t>(budget_s * 1e9);
-  for (std::size_t k = 0; k < kLadderRungs; ++k) {
+  for (std::size_t k = 0; k < rungs.size(); ++k) {
     if (!steps.empty() &&
         now_ns() + static_cast<std::int64_t>(kLadderStepS * 1e9) > end) {
       break;
     }
-    const PhaseOut ph = run_phase(
-        srv, pool, labels, ref,
-        make_stream(pool.num_rows(), spec.rung_qps(k), kLadderStepS,
-                    stream_seed(run.seed, 100 + k)));
+    const PhaseOut ph = serve(srv, p, rungs[k]);
     account(run, ph);
     pb::LadderStep st;
     st.offered_qps = ph.offered_qps;
@@ -831,26 +890,19 @@ double run_ladder(serving::Server& srv, const data::Batch& pool,
 /// it. Returns the mean batch size the server formed.
 double trace_serving(pb::Trace& tr, serving::Server& srv,
                      const core::OptimizedPipeline& p,
-                     const std::vector<store::TableClient*>& clients,
-                     const ServedSpec& spec, const data::Batch& pool,
-                     const std::vector<double>& labels,
-                     const std::vector<double>& ref, double phase_s, Run& run) {
-  const PhaseOut plain = run_phase(
-      srv, pool, labels, ref,
-      make_stream(pool.num_rows(), spec.fixed_qps, phase_s,
-                  stream_seed(run.seed, 1)));
+                     const std::vector<const store::TableClient*>& clients,
+                     const ServedSpec& spec, const Streams& in, Run& run) {
+  const PhaseOut plain = serve(srv, p, in.plain);
   account(run, plain);
   check_generator(plain, "untraced phase", run);
 
+  const std::vector<double> ref = reference_of(p, in.traced.batch);
   srv.reset_stats();
   p.run_stats() = core::CascadeRunStats{};
   const StoreCount st0 = store_count(clients);
   const std::size_t hits0 = p.cache() ? p.cache()->total_hits() : 0;
   const std::size_t miss0 = p.cache() ? p.cache()->total_misses() : 0;
-  const PhaseOut tp = run_phase(
-      srv, pool, labels, ref,
-      make_stream(pool.num_rows(), spec.fixed_qps, phase_s,
-                  stream_seed(run.seed, 2)));
+  const PhaseOut tp = run_phase(srv, in.traced, ref);
   account(run, tp);
   check_generator(tp, "traced phase", run);
   const serving::ModelStats ms = srv.stats("m");
@@ -867,11 +919,7 @@ double trace_serving(pb::Trace& tr, serving::Server& srv,
     tr.add(root, r, "serving.submit", tp.submit_begin_ns[i], tp.submit_end_ns[i]);
   }
   // Saturation: a closed loop keeping every replica's batch full.
-  const PhaseOut sat = run_phase(
-      srv, pool, labels, ref,
-      make_stream(pool.num_rows(), static_cast<double>(spec.sat_requests), 1.0,
-                  stream_seed(run.seed, 3)),
-      spec.sat_window);
+  const PhaseOut sat = serve(srv, p, in.saturation, spec.sat_window);
   account(run, sat);
   run.metric("serving.saturation_qps", throughput_of(sat), "1/s");
 
@@ -920,29 +968,34 @@ double trace_serving(pb::Trace& tr, serving::Server& srv,
 }
 
 /// Top-K layer, with the cascade's small model as the filter: `top_k`
-/// queries over `batch` (one root span each), then the filter and the
-/// re-rank replayed through public calls: efficient-IFV features + filter
-/// model over all N rows, then all-IFV features + full model over the subset
-/// the filter keeps.
+/// queries over `batch` (one root span each), each scored against the exact
+/// full-model top-K, then the filter and the re-rank replayed through
+/// public calls: efficient-IFV features + filter model over all N rows,
+/// then all-IFV features + full model over the subset the filter keeps.
 void trace_topk(pb::Trace& tr, const core::OptimizedPipeline& p,
                 const data::Batch& batch, double seconds, Run& run) {
-  std::vector<double> lat;
+  const core::Executor& ex = p.executor();
+  const std::vector<double> exact =
+      p.full_model().predict(ex.compute_matrix(batch));
+  std::vector<double> lat, precision;
   std::size_t subset_rows = 0, batch_rows = 0;
   const std::int64_t end = now_ns() + static_cast<std::int64_t>(seconds * 1e9);
-  for (std::size_t i = 0; now_ns() < end || lat.size() < 11; ++i) {
+  while (now_ns() < end || lat.size() < 11) {
     const std::int64_t a = now_ns();
-    (void)p.top_k(batch, kTopK);
+    const std::vector<std::size_t> got = p.top_k(batch, kTopK);
     const std::int64_t b = now_ns();
     tr.add(tr.new_root(), -1, "topk.query", a, b);
     lat.push_back(static_cast<double>(b - a) * 1e-3);
     subset_rows += p.topk_stats().subset_size;
     batch_rows += p.topk_stats().batch_size;
+    precision.push_back(pb::precision_at_k(got, exact, kTopK));
+    ++run.attempted;
+    if (precision.back() < kTopKPrecisionFloor) ++run.failures.topk;
   }
   const double subset_frac =
       static_cast<double>(subset_rows) / static_cast<double>(batch_rows);
 
   const auto& cas = p.cascade();
-  const core::Executor& ex = p.executor();
   core::ExecOptions eff;
   eff.fg_mask = cas.efficient_mask;
   for (std::size_t i = 0; i < 8; ++i) {
@@ -970,57 +1023,41 @@ void trace_topk(pb::Trace& tr, const core::OptimizedPipeline& p,
   run.metric("core.topk_rerank_ms", tr.median_us("core.topk_rerank") * 1e-3, "ms");
   run.metric("core.topk_p90_ms", tail_of(lat, 90.0, 1, run, "topk") * 1e-3, "ms");
   run.metric("core.topk_subset_frac", subset_frac, "ratio");
+  run.metric("core.topk_precision",
+             *std::min_element(precision.begin(), precision.end()), "ratio");
 }
 
 /// Every per-layer metric: the serving layer and the rate ladder through
 /// `srv`, `predict_into` replayed at the batch size the server formed, the
-/// top-K layer over the pool, and the shared layer replays.
+/// top-K layer over the labeled test rows, and the shared layer replays.
 int traced_run(Run& run, serving::Server& srv, const core::OptimizedPipeline& p,
-               const std::vector<store::TableClient*>& clients,
-               const ServedSpec& spec, const data::Batch& pool,
-               const std::vector<double>& labels, const std::vector<double>& ref,
+               const std::vector<const store::TableClient*>& clients,
+               const ServedSpec& spec, const Streams& in,
                const std::vector<double>& optimize_s,
                const std::string& artifact) {
   pb::Trace tr;
-  const double serving_s = run.seconds * 0.2;
   const std::size_t b = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::lround(trace_serving(
-             tr, srv, p, clients, spec, pool, labels, ref, serving_s, run))));
+      1, static_cast<std::size_t>(std::lround(
+             trace_serving(tr, srv, p, clients, spec, in, run))));
   run.metric("serving.ladder_max_qps",
-             run_ladder(srv, pool, labels, ref, spec, 1.5 * serving_s, run),
-             "1/s");
+             run_ladder(srv, p, in.ladder, spec, 0.3 * run.seconds, run), "1/s");
 
+  const data::Batch& queries = in.traced.batch;
   std::vector<data::Batch> replay;
-  for (std::size_t i = 0; i < 64; ++i) replay.push_back(rows_of(pool, i * b, b));
+  for (std::size_t i = 0; i < 64; ++i) replay.push_back(rows_of(queries, i * b, b));
   std::vector<double> out(b);
   trace_calls(tr, "core.predict_into", 400, [&](std::size_t i) {
     p.predict_into(replay[i % replay.size()], out);
   });
   run.metric("core.predict_us_per_row",
              tr.median_us("core.predict_into") / static_cast<double>(b), "us");
-  trace_topk(tr, p, pool, run.seconds * 0.15, run);
-  trace_layers(tr, p, pool, artifact, 256, run);
+  trace_topk(tr, p, in.labeled.batch, run.seconds * 0.15, run);
+  trace_layers(tr, p, queries, artifact, 256, run);
   run.metric("core.optimize_s", pb::median_of(optimize_s), "s");
   run.metric("bench.peak_rss_mb", peak_rss_mb(), "MB");
   write_trace(tr, run);
   std::remove(artifact.c_str());
   return finish(run);
-}
-
-/// The reference predictions: OptimizedPipeline::predict over the whole
-/// pool, with the feature cache off (an uncached copy of the same fitted
-/// parts) when the served pipeline has one.
-std::vector<double> reference_of(const core::OptimizedPipeline& p,
-                                 const data::Batch& pool) {
-  if (p.cache() == nullptr) return p.predict(pool);
-  core::OptimizedPipeline::Parts parts;
-  parts.executor = p.executor_ptr();
-  parts.cascade = p.cascade();
-  parts.use_cascades = p.use_cascades();
-  parts.topk = p.topk_config();
-  parts.parallel_threads = p.parallel_threads();
-  parts.autotune = p.autotune_report();
-  return core::OptimizedPipeline(parts).predict(pool);
 }
 
 int run_served(const ServedSpec& spec, Run& run) {
@@ -1030,19 +1067,21 @@ int run_served(const ServedSpec& spec, Run& run) {
   run.params["replicas"] = static_cast<double>(spec.replicas);
   run.params["workers"] = static_cast<double>(kWorkers);
 
-  const auto wl = workloads::make_music({});
-  const data::Batch& pool = wl.test.inputs;
-  const std::vector<double>& labels = wl.test.targets;
+  auto wl = workloads::make_music({});
+  // Remote before optimize: the cost model, the cascade's efficient-IFV
+  // choice and the cache then see remote lookup costs, and the artifact
+  // carries the network model to the loaded pipeline.
+  if (spec.remote) wl.tables->set_network(workloads::default_remote_network());
+  const Streams in = make_streams(wl, spec, run);
   const std::string artifact =
       run.out_dir + "/" + run.workload + "-" + std::to_string(::getpid()) + ".wlmp";
 
   // Each set-up serves its own share of the measured phases, and the
   // metrics are medians over set-ups: an autotuner pick that flips between
   // set-ups moves one of kSetupRepeats values, not the result.
-  std::vector<double> setup_s, optimize_s, p50s;
-  std::size_t label_hits = 0, served = 0;
+  std::vector<double> setup_s, optimize_s, save_s, load_s, first_s, p50s;
+  std::size_t label_hits = 0, labeled = 0;
   ServedSetup s;
-  std::vector<double> ref;
   for (std::size_t i = 0; i < kSetupRepeats; ++i) {
     s = ServedSetup{};  // shut the previous server down first
     pin_self(false);    // the new server's workers inherit the worker CPUs
@@ -1050,41 +1089,46 @@ int run_served(const ServedSpec& spec, Run& run) {
     pin_self(true);
     setup_s.push_back(s.setup_s);
     optimize_s.push_back(s.optimize_s);
+    save_s.push_back(s.save_s);
+    load_s.push_back(s.load_s);
+    first_s.push_back(s.first_s);
     run.autotune.push_back(autotune_summary(s.pipe->autotune_report()));
-    ref = reference_of(*s.pipe, pool);
+    std::printf("# setup %zu setup_s=%.4f optimize_s=%.4f save_s=%.4f "
+                "load_s=%.4f first_s=%.5f\n",
+                i, s.setup_s, s.optimize_s, s.save_s, s.load_s, s.first_s);
 
-    // Warm-up at the fixed rate (checked, not measured).
-    const std::uint64_t phase = 10 * (i + 1);
-    account(run, run_phase(*s.server, pool, labels, ref,
-                      make_stream(pool.num_rows(), spec.fixed_qps, 0.2,
-                                  stream_seed(run.seed, phase))));
+    // Accuracy: every labeled test row served once (closed loop), then a
+    // warm-up at the fixed rate; both checked, neither timed.
+    const PhaseOut acc = serve(*s.server, *s.pipe, in.labeled, spec.sat_window);
+    account(run, acc);
+    label_hits += acc.label_hits;
+    labeled += acc.n;
+    account(run, serve(*s.server, *s.pipe, in.warmup[i]));
     if (run.trace) continue;
 
-    const PhaseOut fx = run_phase(
-        *s.server, pool, labels, ref,
-        make_stream(pool.num_rows(), spec.fixed_qps,
-                    run.seconds / kSetupRepeats,
-                    stream_seed(run.seed, phase + 1)));
+    const PhaseOut fx = serve(*s.server, *s.pipe, in.measured[i]);
     account(run, fx);
     check_generator(fx, "fixed-rate phase", run);
     p50s.push_back(p50_of(fx.lat_us));
-    label_hits += fx.label_hits;
-    served += fx.n;
+    std::printf("# fixed-rate %zu p50_us=%.3f\n", i, p50s.back());
+    run.params["samples"] += static_cast<double>(fx.n);
   }
+  run.params["setup.optimize_s"] = pb::median_of(optimize_s);
+  run.params["setup.save_s"] = pb::median_of(save_s);
+  run.params["setup.load_s"] = pb::median_of(load_s);
+  run.params["setup.first_s"] = pb::median_of(first_s);
 
   if (!run.trace) {
-    run.params["samples"] = static_cast<double>(served);
     run.metric("setup_s", pb::median_of(setup_s), "s");
     run.metric("p50_us", pb::median_of(p50s), "us");
     run.metric("accuracy",
-               served ? static_cast<double>(label_hits) / static_cast<double>(served)
-                      : 0.0,
+               static_cast<double>(label_hits) / static_cast<double>(labeled),
                "ratio");
     std::remove(artifact.c_str());
     return finish(run);
   }
-  return traced_run(run, *s.server, *s.pipe, s.clients, spec, pool, labels,
-                    ref, optimize_s, artifact);
+  return traced_run(run, *s.server, *s.pipe, s.clients, spec, in, optimize_s,
+                    artifact);
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 #pragma once
 
 // Pure measurement rules of the benchmark: tail percentiles that are backed
-// by enough samples, the rate-ladder pass rule, and span self time. Kept
+// by enough samples, top-K precision, the rate-ladder pass rule, and span
+// self time. Kept
 // free of the library so perfbench/tests/selftest.cpp can check them alone.
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -71,6 +73,25 @@ double window_median(const std::vector<double>& samples, std::size_t windows,
     per.push_back(stat(chunk));
   }
   return median_of(per);
+}
+
+/// Precision@K of the row indices `got` against exact scores: the share of
+/// K taken by returned rows whose exact score reaches the K-th best exact
+/// score. Rows tied at that score all count, whichever of them a ranking
+/// keeps; an index out of range never counts.
+inline double precision_at_k(const std::vector<std::size_t>& got,
+                             const std::vector<double>& exact, std::size_t k) {
+  if (k == 0 || exact.empty()) return 0.0;
+  k = std::min(k, exact.size());
+  std::vector<double> desc = exact;
+  std::nth_element(desc.begin(), desc.begin() + static_cast<std::ptrdiff_t>(k - 1),
+                   desc.end(), std::greater<>());
+  const double kth = desc[k - 1];
+  std::size_t hits = 0;
+  for (std::size_t i : got) {
+    if (i < exact.size() && exact[i] >= kth) ++hits;
+  }
+  return static_cast<double>(std::min(hits, k)) / static_cast<double>(k);
 }
 
 /// One step of the offered-rate ladder. Failed or refused requests enter

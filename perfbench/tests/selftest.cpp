@@ -1,6 +1,6 @@
 // Self-test of the benchmark's measurement rules (perfbench/src/measure.hpp):
-// the tail percentile backed by >= 10 samples, the rate-ladder pass rule,
-// and span self time. Exits 0 when every check holds; run.py runs it before
+// the tail percentile backed by >= 10 samples, top-K precision, the
+// rate-ladder pass rule, and span self time. Exits 0 when every check holds; run.py runs it before
 // every benchmark run.
 
 #include <cstdio>
@@ -98,6 +98,19 @@ void test_ladder() {
         "a generator-bound step ends the ladder");
 }
 
+void test_precision() {
+  const std::vector<double> exact{0.1, 0.9, 0.5, 0.7, 0.3};
+  // Exact top-2 is {1, 3}.
+  check(pb::precision_at_k({1, 3}, exact, 2) == 1.0, "exact top-2 is 1.0");
+  check(pb::precision_at_k({3, 2}, exact, 2) == 0.5, "one of two is 0.5");
+  check(pb::precision_at_k({0, 4}, exact, 2) == 0.0, "none of two is 0.0");
+  check(pb::precision_at_k({1, 9}, exact, 2) == 0.5, "out of range never counts");
+  // Ties at the K-th score: either tied row counts.
+  const std::vector<double> tied{0.9, 0.5, 0.5, 0.1};
+  check(pb::precision_at_k({0, 2}, tied, 2) == 1.0, "a tied row counts");
+  check(pb::precision_at_k({0, 1, 2}, tied, 2) == 1.0, "capped at K");
+}
+
 void test_self_time() {
   // root [0,100] with children [10,30] and [20,50] (overlap counted once)
   // and [90,120] (clipped to 90..100): covered 40 + 10 = 50, self 50.
@@ -125,6 +138,7 @@ void test_self_time() {
 
 int main() {
   test_tail_pick();
+  test_precision();
   test_ladder();
   test_self_time();
   if (failures == 0) std::printf("perfbench selftest: all checks passed\n");
